@@ -690,10 +690,10 @@ struct ElasticComparison {
 };
 
 /// The elastic-fleet contract, bench-sized: the same Cap3 job through the
-/// static Classic Cloud DES driver and the autoscaled half-spot driver
-/// under one seeded revocation storm. DES time, so the row is exact and
-/// repeatable; --check gates semantics (all tasks complete, queue drained,
-/// autoscaled bill <= static bill), not wall time.
+/// Classic Cloud DES driver on a static fleet and on an autoscaled half-spot
+/// fleet under one seeded revocation storm. DES time, so the row is exact
+/// and repeatable; --check gates semantics (all tasks complete, queue
+/// drained, autoscaled bill <= static bill), not wall time.
 ElasticComparison bench_elastic_fleet() {
   using namespace ppc::core;
   const int kInstances = 8, kWorkers = 8;
@@ -721,7 +721,7 @@ ElasticComparison bench_elastic_fleet() {
   params.visibility_timeout = 1800.0;
   ElasticRunStats stats;
   const RunResult el =
-      run_elastic_classic_sim(workload, deployment, model, params, elastic, &stats);
+      run_classic_cloud_sim(workload, deployment, model, params, &elastic, &stats);
   result.completed = el.completed;
   result.undeleted = el.queue_undeleted_end;
   result.revocations = stats.revocations;
@@ -1022,7 +1022,7 @@ int main(int argc, char** argv) {
                    shuffle.shuffle_bytes_per_second, shuffle.spill_amplification);
     }
     // The elastic row is gated on semantics, not a baseline: DES makes it
-    // exact, so any violation is a real regression in the elastic drivers.
+    // exact, so any violation is a real regression in the elastic fleet.
     if (elastic.completed != elastic.tasks || elastic.undeleted != 0) {
       std::fprintf(stderr, "FAIL: elastic fleet lost work (%d/%d tasks, %llu undeleted)\n",
                    elastic.completed, elastic.tasks,

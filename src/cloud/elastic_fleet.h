@@ -41,8 +41,8 @@
 namespace ppc::cloud {
 
 namespace sites {
-/// FaultInjector site the elastic drivers fire once per running spot
-/// instance per autoscale tick (key = instance id). Arm it with
+/// FaultInjector site an elastic Classic Cloud run fires once per running
+/// spot instance per autoscale tick (key = instance id). Arm it with
 /// FaultPlan::revoke_spot rules to script single kills or correlated
 /// revocation storms.
 inline constexpr const char* kSpotRevoke = "cloud.fleet.revoke_spot";

@@ -68,11 +68,12 @@ struct SimRunParams {
   /// or duplicate executions appear (the ablation bench sweeps this).
   Seconds visibility_timeout = 7200.0;
   /// Messages fetched per queue receive request (1..10, the SQS batch
-  /// limit). 1 keeps the legacy one-receive-per-poll loop (and its exact
-  /// random stream); > 1 prefetches a batch per poll, works through it, and
-  /// acks completions in DeleteMessageBatch requests — cutting API requests
-  /// (and request charges) by ~batch x at saturation. The visibility
-  /// timeout must cover the whole prefetched batch.
+  /// limit). Each poll prefetches up to this many deliveries, works through
+  /// them, and acks completions in DeleteMessageBatch requests of up to
+  /// kBatchLimit once the batch drains — cutting API requests (and request
+  /// charges) by ~batch x at saturation. 1 fetches one message per request
+  /// and acks it alone. The visibility timeout must cover the whole
+  /// prefetched batch.
   int receive_batch = 1;
 
   // -- MapReduce --
@@ -227,12 +228,7 @@ struct RunResult {
   std::vector<TaskTraceEntry> trace;
 };
 
-/// Classic Cloud (EC2/Azure flavor decided by the deployment's instance
-/// provider): queue-scheduled independent workers over blob storage.
-RunResult run_classic_cloud_sim(const Workload& workload, const Deployment& deployment,
-                                const ExecutionModel& model, const SimRunParams& params);
-
-/// Elastic-fleet knobs for run_elastic_classic_sim. The deployment's
+/// Elastic-fleet knobs for run_classic_cloud_sim. With them the deployment's
 /// `instances` field is reinterpreted as the Equation-1 core budget (set it
 /// to autoscaler.max_instances); the actual fleet size is the Autoscaler's
 /// business, starting from min_instances.
@@ -283,18 +279,25 @@ struct ElasticRunStats {
   }
 };
 
-/// Classic Cloud data plane (queue + blob storage) driven by an autoscaled
+/// Classic Cloud (EC2/Azure flavor decided by the deployment's instance
+/// provider): queue-scheduled independent workers over blob storage.
+///
+/// Without `elastic` the fleet is static: every instance of the deployment
+/// runs from t=0, the run ends at the last first-completion, and the bill is
+/// taken at the makespan. With `elastic` the same driver runs an autoscaled
 /// ElasticFleet: scale-out on backlog, billing-boundary scale-in after a
 /// graceful drain, spot instances revocable via FaultPlan::revoke_spot rules
-/// at cloud::sites::kSpotRevoke and via seeded storms. Registers the classic
-/// probes plus fleet.size / fleet.spot_running / spot.revocations /
-/// fleet.drain_seconds / fleet.scale_events.rate when params.monitor is set.
+/// at cloud::sites::kSpotRevoke and via seeded storms. An elastic run waits
+/// for the queue to drain (acks a hard kill destroyed must resurface first),
+/// bills at that end, reports as "ElasticCloud-*", registers fleet.size /
+/// fleet.spot_running / spot.revocations / fleet.drain_seconds /
+/// fleet.scale_events.rate on params.monitor, and fills `stats` when given.
 /// The worker block cache is not modelled for elastic fleets
 /// (params.enable_block_cache must be off).
-RunResult run_elastic_classic_sim(const Workload& workload, const Deployment& deployment,
-                                  const ExecutionModel& model, const SimRunParams& params,
-                                  const ElasticSimParams& elastic,
-                                  ElasticRunStats* stats = nullptr);
+RunResult run_classic_cloud_sim(const Workload& workload, const Deployment& deployment,
+                                const ExecutionModel& model, const SimRunParams& params,
+                                const ElasticSimParams* elastic = nullptr,
+                                ElasticRunStats* stats = nullptr);
 
 /// Hadoop-analog: HDFS-resident inputs, locality-aware dynamic global-queue
 /// scheduling, speculative execution.

@@ -159,13 +159,7 @@ void TaskLifecycle::poll_loop() {
     const bool tracing = tr != nullptr && tr->enabled();
     const Seconds poll_start = tracing ? tr->now() : 0.0;
     deliveries.clear();
-    if (batch == 1) {
-      if (auto message = task_queue_->receive(config_.visibility_timeout)) {
-        deliveries.push_back(std::move(*message));
-      }
-    } else {
-      task_queue_->receive_batch(batch, config_.visibility_timeout, deliveries);
-    }
+    task_queue_->receive_batch(batch, config_.visibility_timeout, deliveries);
     if (deliveries.empty()) {
       ++idle_polls;
       // Idle is the natural flush point: no further completions are coming

@@ -112,8 +112,8 @@ AutoscaleReport run_autoscale_campaign(const AutoscaleCampaignConfig& config) {
     params.visibility_timeout = 1800.0;
     params.monitor = &monitor;
 
-    const core::RunResult result = core::run_elastic_classic_sim(
-        workload, elastic_deployment, model, params, elastic, &stats);
+    const core::RunResult result = core::run_classic_cloud_sim(
+        workload, elastic_deployment, model, params, &elastic, &stats);
     monitor_json = monitor.to_json();
     samples = monitor.samples();
     alarm = monitor.degraded() || !monitor.firings().empty();

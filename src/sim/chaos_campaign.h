@@ -64,7 +64,7 @@ struct ChaosConfig {
   /// revocations land as hard kills — the campaign asserts the existing
   /// crash machinery (redelivery, idempotent re-execution, DLQ) absorbs
   /// them byte-identically; the notice-respecting drain path is the DES
-  /// elastic driver's and the WorkerSupervisor tests' business. Storm runs
+  /// elastic fleet's and the WorkerSupervisor tests' business. Storm runs
   /// get extra redelivery headroom (max_receive_count / map attempts).
   bool revocation_storm = false;
   /// > 0: attach a runtime::Monitor (own sampler thread, wall clock) to the

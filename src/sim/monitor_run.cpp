@@ -51,7 +51,7 @@ std::vector<std::string> default_alarm_rules() {
   // sliver (poll latency, start-up stagger), but well inside a real stall
   // window — flapping just under it never fires.
   //
-  // The thrash rule watches the elastic drivers' fleet.scale_events.rate
+  // The thrash rule watches an elastic run's fleet.scale_events.rate
   // probe: a well-hysteresed autoscaler (cooldown 120s) tops out around one
   // scale event per minute (~0.017/s) even during ramp-up or a post-storm
   // refill, so a sustained 0.05/s means the scale-out/scale-in thresholds

@@ -75,7 +75,7 @@ struct MonitorRunReport {
 /// The out-of-the-box alarm set: the worker-stall rule
 /// "stall: workers.idle_with_backlog > 0.5 for 45s" and the autoscaler
 /// oscillation rule "fleet.thrash: fleet.scale_events.rate > 0.05 for 60s"
-/// (inert unless an elastic driver registers the fleet probes). Exposed so
+/// (inert unless an elastic run registers the fleet probes). Exposed so
 /// docs and tests quote the real thing.
 std::vector<std::string> default_alarm_rules();
 

@@ -4,6 +4,8 @@
 // identities must hold.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.h"
 #include "core/drivers.h"
 
@@ -24,6 +26,12 @@ struct FaultMix {
   double worker_crash_prob;
   double visibility_timeout;
 };
+
+// gtest prints the parameter into each test's listed name; without this it
+// dumps the raw bytes, whose std::string pointer changes with every build.
+void PrintTo(const FaultMix& mix, std::ostream* os) {
+  *os << "crash=" << mix.worker_crash_prob << " vt=" << mix.visibility_timeout;
+}
 
 class ClassicCloudFaultSweep : public ::testing::TestWithParam<FaultMix> {};
 

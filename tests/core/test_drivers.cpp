@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/elastic_fleet.h"
 #include "common/error.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
 
 namespace ppc::core {
 namespace {
@@ -313,6 +316,68 @@ TEST(Drivers, EmptyWorkloadRejected) {
   EXPECT_THROW(run_classic_cloud_sim(w, d, model, quiet_params()), ppc::InvalidArgument);
   EXPECT_THROW(run_mapreduce_sim(w, d, model, quiet_params()), ppc::InvalidArgument);
   EXPECT_THROW(run_dryad_sim(w, d, model, quiet_params()), ppc::InvalidArgument);
+}
+
+// -- elastic fleet ----------------------------------------------------------
+
+ElasticSimParams small_elastic_fleet() {
+  ElasticSimParams elastic;
+  elastic.autoscaler.min_instances = 4;
+  elastic.autoscaler.max_instances = 8;
+  elastic.autoscaler.step_out = 2;
+  return elastic;
+}
+
+TEST(ElasticClassicDriver, NoNoticeKillOfBufferedAcksDrainsAndBillsTheTail) {
+  // A FaultPlan revoke_spot rule hard-kills one spot instance mid-run with
+  // no notice. Its workers each hold acks buffered for a batch in progress;
+  // those completed-but-undeleted messages resurface after the visibility
+  // timeout and are re-executed, so the run must wait for them.
+  const Workload w = make_cap3_workload(400, 458);
+  const Deployment d = make_deployment(cloud::ec2_hcxl(), 8, 8);
+  const ExecutionModel model(AppKind::kCap3);
+  SimRunParams params = quiet_params();
+  params.receive_batch = 10;
+  params.visibility_timeout = 1800.0;
+  // Shared-FS servers bill linearly in time, which exposes when the run
+  // took its bill.
+  params.storage = storage::StorageKind::kSharedFs;
+  runtime::FaultPlan plan;
+  plan.revoke_spot(cloud::sites::kSpotRevoke, /*budget=*/1, /*probability=*/1.0,
+                   /*notice=*/0.0, /*skip_first=*/20);
+  runtime::FaultInjector faults;
+  faults.arm_plan(plan);
+  params.faults = &faults;
+  const ElasticSimParams elastic = small_elastic_fleet();
+  ElasticRunStats stats;
+  const RunResult r = run_classic_cloud_sim(w, d, model, params, &elastic, &stats);
+
+  EXPECT_EQ(r.framework, "ElasticCloud-EC2");
+  EXPECT_EQ(r.completed, r.tasks);
+  EXPECT_EQ(r.queue_undeleted_end, 0u) << "no message may be lost with the instance";
+  EXPECT_GT(r.duplicate_executions, 0) << "the lost acks must be re-executed";
+  EXPECT_EQ(stats.revocations, 1);
+  EXPECT_EQ(stats.hard_kills, 1);
+  EXPECT_NEAR(stats.cost_on_demand + stats.cost_spot, r.compute_cost_hour_units, 1e-9);
+
+  // The static run bills its shared-FS servers at the makespan. The elastic
+  // one bills at the end of the drain tail: past its last first-completion,
+  // since the duplicates of the lost acks are still running then.
+  const RunResult fixed = run_classic_cloud_sim(w, d, model, params);
+  const double fs_dollars_per_second = fixed.storage_service_cost / fixed.makespan;
+  const Seconds billed_until = r.storage_service_cost / fs_dollars_per_second;
+  EXPECT_GT(billed_until, r.makespan + 1.0);
+}
+
+TEST(ElasticClassicDriver, BlockCacheIsRejected) {
+  const Workload w = make_blast_workload(8, 100, 7, 128, 0.30, 100.0 * 1024 * 1024);
+  const Deployment d = make_deployment(cloud::ec2_hcxl(), 4, 2);
+  const ExecutionModel model(AppKind::kBlast);
+  SimRunParams params = quiet_params();
+  params.enable_block_cache = true;
+  const ElasticSimParams elastic = small_elastic_fleet();
+  EXPECT_THROW(run_classic_cloud_sim(w, d, model, params, &elastic), ppc::InvalidArgument);
+  EXPECT_NO_THROW(run_classic_cloud_sim(w, d, model, params));  // static fleets model it
 }
 
 }  // namespace
