@@ -456,6 +456,13 @@ struct MonitorOverhead {
   double ratio = 0.0;
 };
 
+/// Round trips per timed loop in the three overhead comparisons (monitor,
+/// storage backend, disabled tracing). With the word-at-a-time content
+/// checksum a 1 MB round trip takes ~0.15 ms, so 2000 of them keep each
+/// loop near 0.3 s: long enough for the 100 ms monitor to scrape during
+/// it, and for the 3% budgets to sit well above timer and scheduler noise.
+constexpr int kOverheadOps = 2000;
+
 /// The 1 MB data-plane loop with the instrumentation writes every worker
 /// makes (counter incs + busy gauge flips), run with and without a Monitor
 /// sampler thread scraping the registry at 100 ms. `monitored` adds the
@@ -503,7 +510,7 @@ double monitored_data_plane_seconds(int ops, bool monitored) {
 /// loop with no monitor (checked in --check mode). Interleaved paired
 /// samples so CPU-frequency drift hits both arms.
 MonitorOverhead bench_monitor_overhead() {
-  const int kOps = 200;
+  const int kOps = kOverheadOps;
   MonitorOverhead result;
   result.plain_seconds = 1e300;
   result.monitored_seconds = 1e300;
@@ -528,7 +535,7 @@ struct StorageOverhead {
 /// (checked in --check mode) over direct BlobStore calls. Interleaved
 /// paired samples, same discipline as bench_tracing_overhead.
 StorageOverhead bench_storage_overhead() {
-  const int kOps = 200;
+  const int kOps = kOverheadOps;
   const std::string payload(1024 * 1024, 'o');
   auto direct_loop = [&] {
     auto clock = std::make_shared<ManualClock>();
@@ -561,7 +568,7 @@ StorageOverhead bench_storage_overhead() {
 /// the data plane must not regress measurably (< 3%, checked in --check
 /// mode). Interleaved paired samples so CPU-frequency drift hits both arms.
 TracingOverhead bench_tracing_overhead() {
-  const int kOps = 200;
+  const int kOps = kOverheadOps;
   runtime::Tracer tracer;  // never enabled
   TracingOverhead result;
   result.plain_seconds = 1e300;

@@ -68,9 +68,10 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     }
   }
   // Logical objects have no bytes to hash, so their etag is derived from the
-  // stable identity (bucket, key, declared size). That keeps the tag
-  // deterministic across runs and processes, which content-addressed caching
-  // depends on; real payloads keep the content hash.
+  // stable identity (bucket, key, declared size) with fnv1a64. That keeps the
+  // tag deterministic across runs and processes, which content-addressed
+  // caching and the DES reruns depend on; real payloads get the payload
+  // checksum, which every fetch validates against.
   std::uint64_t etag = 0;
   if (is_logical) {
     std::string identity = "logical:";
@@ -81,7 +82,7 @@ void BlobStore::put_impl(const std::string& bucket, const std::string& key, std:
     identity += std::to_string(static_cast<std::uint64_t>(logical_size));
     etag = ppc::fnv1a64(identity);
   } else {
-    etag = ppc::fnv1a64(data);
+    etag = ppc::content_hash64(data);
   }
   auto payload = std::make_shared<const std::string>(std::move(data));
   auto b = get_or_create_bucket(bucket);

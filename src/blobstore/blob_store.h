@@ -116,7 +116,7 @@ class BlobStore : public storage::StorageBackend {
   /// True when the object exists and is visible. Metered as a HEAD.
   bool exists(const std::string& bucket, const std::string& key) override;
 
-  /// Content hash (fnv1a64 — our stand-in for the S3 ETag) of the stored
+  /// Content hash (content_hash64 — our stand-in for the S3 ETag) of the stored
   /// object, or nullopt when absent / not yet visible. Unmetered and immune
   /// to injected faults: it models the checksum the service returned with
   /// the original upload, which readers keep to validate downloads.
@@ -161,7 +161,7 @@ class BlobStore : public storage::StorageBackend {
   struct Object {
     std::shared_ptr<const std::string> data;  // immutable payload, shared with readers
     Bytes logical_size = 0.0;                 // == data->size() for real objects
-    std::uint64_t etag = 0;                   // fnv1a64 of data at put time
+    std::uint64_t etag = 0;                   // content_hash64 of data at put time
     Seconds visible_at = 0.0;
     bool is_new = true;  // false once overwritten (overwrite => visible)
   };

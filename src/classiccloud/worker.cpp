@@ -133,6 +133,9 @@ runtime::TaskOutcome Worker::process(runtime::TaskContext& ctx) {
   record.worker_id = id();
   record.status = "done";
   record.duration = duration;
+  // Counted before the report: a client that has seen every report must
+  // also see every worker's count.
+  ctx.count_completed();
   runtime::Span report_span = ctx.span("monitor.report");
   monitor_queue_->send(encode_monitor(record));
   report_span.close();

@@ -108,7 +108,7 @@ std::string MessageQueue::enqueue_locked(Shard& s, std::string body) {
   }
   Entry& e = s.entries[slot];
   e.id_num = next_msg_.fetch_add(1, std::memory_order_relaxed);
-  e.body_hash = ppc::fnv1a64(body);
+  e.body_hash = ppc::content_hash64(body);
   e.body = std::make_shared<const std::string>(std::move(body));
   e.current_receipt_serial = 0;
   e.receive_count = 0;

@@ -11,11 +11,24 @@
 
 namespace ppc {
 
-/// FNV-1a 64-bit content hash. Stands in for the MD5 checksums the real
-/// services attach to payloads (SQS's MD5OfBody, S3's ETag): queues and the
-/// blob store stamp stored bodies with it, and consumers verify deliveries
-/// against the stamp to detect corrupted-in-flight copies.
+/// FNV-1a 64-bit hash, one byte at a time. Its values are part of the
+/// determinism contracts: shuffle `partition_of`, FaultPlan per-site RNG
+/// seeds (`seed ^ fnv1a64(site)`), the chaos campaign's RNG seed and the
+/// identity-derived etags of logical objects all hash short strings with
+/// it, so changing it would move every partition, fault stream and DES
+/// rerun. Payload integrity uses content_hash64 instead.
 std::uint64_t fnv1a64(std::string_view s);
+
+/// Payload-integrity checksum: the xxHash64 construction (seed 0), four
+/// independent 64-bit lanes over 32-byte stripes, so it reads a word at a
+/// time and runs ~15x faster than fnv1a64 on large bodies. Stands in for
+/// the MD5 checksums the real services attach to payloads (SQS's
+/// MD5OfBody, S3's ETag): queues, the blob store and shuffle spills stamp
+/// stored bodies with it, and consumers verify deliveries against the
+/// stamp to detect corrupted-in-flight copies. Stamp and check must both
+/// use this function. Values are the same on every host (words are read
+/// little-endian) and for any alignment of `s`.
+std::uint64_t content_hash64(std::string_view s);
 
 /// Splits `s` on `sep`; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char sep);

@@ -93,7 +93,7 @@ inline Bytes record_footprint(const ShuffleRecord& r) {
 struct SpillInfo {
   std::string store_key;       // object key inside the shuffle bucket
   Bytes bytes = 0.0;           // encoded payload size
-  std::uint64_t checksum = 0;  // fnv1a64 of the encoded payload
+  std::uint64_t checksum = 0;  // content_hash64 of the encoded payload
   std::uint32_t records = 0;
 };
 

@@ -26,11 +26,17 @@ std::shared_ptr<const std::string> TaskContext::fetch(storage::StorageBackend& s
     // Logical objects (empty payload, identity-derived etag) have no bytes
     // to validate.
     const auto expected = store.etag(bucket, key);
-    if (expected.has_value() && !data->empty() && ppc::fnv1a64(*data) != *expected) {
+    if (expected.has_value() && !data->empty() && ppc::content_hash64(*data) != *expected) {
       return nullptr;
     }
     return data;
   });
+}
+
+void TaskContext::count_completed() {
+  if (completed_counted_) return;
+  completed_counted_ = true;
+  count(counters::kTasksCompleted);
 }
 
 void TaskContext::count(std::string_view name, std::int64_t delta) {
@@ -240,6 +246,9 @@ bool TaskLifecycle::handle_delivery(cloudq::Message& message, Tracer* tr, bool t
     PPC_WARN << "worker " << id_ << ": task failed: " << e.what();
     outcome = TaskOutcome::kAbandoned;
   }
+  if (ctx.completed_counted_ && outcome != TaskOutcome::kCompleted) {
+    metrics_->counter(scoped(counters::kTasksCompleted)).inc(-1);
+  }
   last_heartbeat_.store(ppc::monotonic_now());
 
   if (outcome == TaskOutcome::kCrashed) {
@@ -267,7 +276,7 @@ bool TaskLifecycle::handle_delivery(cloudq::Message& message, Tracer* tr, bool t
         flush_pending_deletes();
       }
     }
-    metrics_->counter(scoped(counters::kTasksCompleted)).inc();
+    if (!ctx.completed_counted_) metrics_->counter(scoped(counters::kTasksCompleted)).inc();
     metrics_->emit({"task.completed", {{"worker", id_}, {"message", message.id}}});
     task_span.arg("outcome", "completed");
   } else if (outcome == TaskOutcome::kAbandoned) {

@@ -138,6 +138,13 @@ class TaskContext {
   template <typename Fn>
   auto retry(Fn&& fn) -> decltype(fn());
 
+  /// Counts this delivery in `tasks_completed` now. A handler calls it just
+  /// before it publishes the task's completion (a monitor report), so that
+  /// whoever sees the report also sees the count. The lifecycle then does
+  /// not count the delivery again, and takes the count back if the handler
+  /// throws or returns anything but kCompleted.
+  void count_completed();
+
   /// Increments the worker-scoped counter "<id>.<name>".
   void count(std::string_view name, std::int64_t delta = 1);
 
@@ -158,6 +165,7 @@ class TaskContext {
 
   TaskLifecycle& owner_;
   const cloudq::Message* message_;
+  bool completed_counted_ = false;
 };
 
 using TaskHandler = std::function<TaskOutcome(TaskContext&)>;

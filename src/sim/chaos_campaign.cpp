@@ -136,6 +136,10 @@ runtime::FaultPlan make_plan(const ChaosConfig& cfg) {
       case FaultAction::kCrash:
         plan.crash(item.site, 1, p);
         break;
+      case FaultAction::kRevokeSpot:
+        // Never on a sampled menu: storms are armed below, after the extras.
+        plan.revoke_spot(item.site, budget, p);
+        break;
     }
   }
 

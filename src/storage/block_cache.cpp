@@ -149,7 +149,7 @@ BlockCache::FetchResult BlockCache::fetch(StorageBackend& backend, const std::st
   // corrupted in flight (fault hook) would otherwise be served as a "hit"
   // to every later task on this worker. Logical objects (empty payload,
   // identity-derived etag) have no bytes to check.
-  if (!data->empty() && ppc::fnv1a64(*data) != *tag) {
+  if (!data->empty() && ppc::content_hash64(*data) != *tag) {
     if (span != 0) tracer->op_end(span, /*failed=*/true);
     return FetchResult{};  // caller retries; the store copy is intact
   }

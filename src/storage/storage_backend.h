@@ -139,7 +139,7 @@ class StorageBackend {
   /// True when the object exists and is visible. Metered as a HEAD.
   virtual bool exists(const std::string& bucket, const std::string& key) = 0;
 
-  /// Content hash (fnv1a64 ETag stand-in), or nullopt when absent / not yet
+  /// Content hash (content_hash64 ETag stand-in), or nullopt when absent / not yet
   /// visible. Unmetered and immune to injected faults: it models the
   /// checksum the service returned with the original upload.
   virtual std::optional<std::uint64_t> etag(const std::string& bucket,

@@ -66,7 +66,15 @@ TEST_P(FaultToleranceTest, CrashedWorkerNeverLosesTasks) {
   WorkerPool rescuers(store_, client.task_queue(), client.monitor_queue(), echo_executor(),
                       base_config(0.3), 3, "rescuer");
 
+  // The rescuers start only once the saboteur has crashed: started
+  // together, they can drain the queue before the saboteur is scheduled,
+  // and then it never takes a task to crash on.
   saboteur.start();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (faults.crashes(crash_site) < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(faults.crashes(crash_site), 1) << "the saboteur must take a task and crash";
   rescuers.start_all();
   ASSERT_TRUE(client.wait_for_completion(30.0))
       << "all tasks must complete despite the crash";

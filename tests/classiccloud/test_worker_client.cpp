@@ -13,6 +13,7 @@
 #include "classiccloud/job_client.h"
 #include "cloudq/queue_service.h"
 #include "common/clock.h"
+#include "runtime/fault_injector.h"
 
 namespace ppc::classiccloud {
 namespace {
@@ -229,6 +230,35 @@ TEST_F(ClassicCloudTest, EventuallyConsistentBlobStoreIsRetried) {
   pool.stop_all();
   pool.join_all();
   EXPECT_EQ(client.completions().size(), 10u);
+}
+
+TEST_F(ClassicCloudTest, CompletionIsCountedBeforeTheClientSeesIt) {
+  // The client's completion wait ends on the workers' monitor reports. By
+  // then each reported task must already count in tasks_completed, even
+  // while its worker is still acking it (a slow delete here), or a caller
+  // that checks exactly-once right after the wait reads one short.
+  for (const int batch : {1, 10}) {
+    SetUp();
+    JobClient client(store_, *queues_, "job");
+    std::vector<std::pair<std::string, std::string>> files;
+    for (int i = 0; i < batch; ++i) files.emplace_back("f" + std::to_string(i), "x");
+    client.submit(files);
+    runtime::FaultInjector slow_ack;
+    slow_ack.delay("cloudq." + client.task_queue()->name() + ".delete", 0.3);
+    queues_->set_fault_hook(&slow_ack);
+    WorkerConfig config = worker_config();
+    config.receive_batch = batch;
+    config.delete_batch = batch;
+    WorkerPool pool(store_, client.task_queue(), client.monitor_queue(), upper_executor(),
+                    config, 1);
+    pool.start_all();
+    ASSERT_TRUE(client.wait_for_completion(20.0)) << "batch " << batch;
+    EXPECT_EQ(pool.aggregate_stats().tasks_completed, batch) << "batch " << batch;
+    pool.stop_all();
+    pool.join_all();
+    EXPECT_EQ(pool.aggregate_stats().tasks_completed, batch) << "batch " << batch;
+    queues_->set_fault_hook(nullptr);
+  }
 }
 
 }  // namespace

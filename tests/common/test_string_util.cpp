@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/fault_hook.h"
+#include "common/rng.h"
+#include "mapreduce/shuffle.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
 
 namespace ppc {
 namespace {
@@ -82,6 +91,116 @@ TEST(KvCodec, RejectsMalformedInput) {
 
 TEST(KvCodec, DeterministicKeyOrder) {
   EXPECT_EQ(encode_kv({{"b", "2"}, {"a", "1"}}), "a=1;b=2");
+}
+
+// A fixed, non-repeating-per-word byte pattern for the hash tests.
+std::string pattern(std::size_t n) {
+  std::string s(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) s[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  return s;
+}
+
+TEST(ContentHash64, PublishedXxh64Vectors) {
+  // content_hash64 is xxHash64 with seed 0; these are the reference
+  // implementation's published values.
+  EXPECT_EQ(content_hash64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(content_hash64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(content_hash64("abc"), 0x44bc2cf5ad770999ULL);
+}
+
+TEST(ContentHash64, KnownAnswersAcrossStripeAndTailBoundaries) {
+  // Lengths straddle every code path: bytes-only tail, the 4-byte word, the
+  // 8-byte words, exactly one 32-byte stripe, stripe + tail, two stripes.
+  // Values from an independent xxHash64 implementation.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> known = {
+      {0, 0xef46db3751d8e999ULL},       {1, 0xa96c7f0ce858bbb7ULL},
+      {3, 0xbed43740ee6332bbULL},       {4, 0xfa212ae44b3bb23dULL},
+      {7, 0x2744460dd675d2c0ULL},       {8, 0x994b676b71ce94ddULL},
+      {31, 0x6711d55e306b5d8fULL},      {32, 0x07f7b8e3bc5d6e25ULL},
+      {33, 0x09f85eeb4e1cbe9fULL},      {63, 0xb7c9968c066cb6a5ULL},
+      {64, 0x50d4159a0411632eULL},      {1u << 20, 0x1b13a8085220794bULL},
+  };
+  for (const auto& [n, expected] : known) {
+    EXPECT_EQ(content_hash64(pattern(n)), expected) << "length " << n;
+  }
+}
+
+TEST(ContentHash64, DetectsEverySingleBitFlipUpTo130Bytes) {
+  for (std::size_t n = 1; n <= 130; ++n) {
+    std::string data = pattern(n);
+    const std::uint64_t clean = content_hash64(data);
+    for (std::size_t bit = 0; bit < n * 8; ++bit) {
+      data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_NE(content_hash64(data), clean) << "length " << n << " bit " << bit;
+      data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+    }
+  }
+}
+
+TEST(ContentHash64, DetectsSampledSingleBitFlipsInOneMiB) {
+  std::string data = pattern(1u << 20);
+  const std::uint64_t clean = content_hash64(data);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  Rng rng(15);
+  std::vector<std::uint64_t> flips = {0, 7, 255, 256, bits - 1};
+  while (flips.size() < 400) flips.push_back(rng.next_u64() % bits);
+  for (const std::uint64_t bit : flips) {
+    data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_NE(content_hash64(data), clean) << "bit " << bit;
+    data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+  }
+  EXPECT_EQ(content_hash64(data), clean);
+}
+
+TEST(ContentHash64, UnalignedViewsHashLikeAlignedCopies) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{5}, std::size_t{31},
+                              std::size_t{77}, std::size_t{(1u << 20) + 13}}) {
+    const std::string aligned = pattern(n);
+    const std::uint64_t expected = content_hash64(aligned);
+    for (std::size_t offset = 1; offset <= 7; ++offset) {
+      const std::string padded = std::string(offset, 'x') + aligned;
+      EXPECT_EQ(content_hash64(std::string_view(padded).substr(offset)), expected)
+          << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(DeterminismHashes, Fnv1a64KeepsItsPublishedValues) {
+  // fnv1a64 seeds partitions, fault streams and logical etags; its values
+  // are part of every replay, so they are pinned here.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("apple"), 0xf74a62a458befdbfULL);
+}
+
+TEST(DeterminismHashes, PartitionOfIsPinned) {
+  EXPECT_EQ(mapreduce::partition_of("apple", 8), 7);
+  EXPECT_EQ(mapreduce::partition_of("banana", 8), 0);
+  EXPECT_EQ(mapreduce::partition_of("t1", 8), 6);
+  EXPECT_EQ(mapreduce::partition_of("t42", 8), 5);
+  EXPECT_EQ(mapreduce::partition_of("banana", 3), 2);
+  EXPECT_EQ(mapreduce::partition_of("t42", 3), 0);
+}
+
+TEST(DeterminismHashes, FaultPlanSiteSeedIsPinned) {
+  // A plan's per-site stream is Rng(seed ^ fnv1a64(site)); a p=0.5 rule
+  // draws one bernoulli per firing.
+  runtime::FaultPlan plan;
+  plan.seed = 42;
+  plan.error("site.x", "x", /*budget=*/-1, /*probability=*/0.5);
+  runtime::FaultInjector faults;
+  faults.arm_plan(plan);
+  Rng reference(42 ^ fnv1a64("site.x"));
+  std::uint32_t fired = 0;
+  std::uint32_t expected = 0;
+  PayloadRef no_payload(nullptr);
+  for (int i = 0; i < 32; ++i) {
+    if (faults.on_operation("site.x", "k", &no_payload).fail) fired |= 1u << i;
+    if (reference.bernoulli(0.5)) expected |= 1u << i;
+  }
+  EXPECT_EQ(fired, expected);
+  // Seed 42's decisions at site.x; if this moves, every chaos replay moves.
+  EXPECT_EQ(fired, 0x8b718af2u);
 }
 
 }  // namespace

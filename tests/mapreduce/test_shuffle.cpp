@@ -84,7 +84,7 @@ TEST(MapOutputWriter, SingleSpillWhenUnderBudget) {
       total += spill.records;
       const auto data = store->get("shuffle", spill.store_key);
       ASSERT_NE(data, nullptr);
-      EXPECT_EQ(ppc::fnv1a64(*data), spill.checksum);
+      EXPECT_EQ(ppc::content_hash64(*data), spill.checksum);
       EXPECT_EQ(static_cast<Bytes>(data->size()), spill.bytes);
       // Spill invariant: internally sorted.
       const auto records = decode_records(*data);

@@ -108,6 +108,34 @@ TEST_F(TaskLifecycleTest, HandlerExceptionCountsAsFailedExecutionNotALostTask) {
   EXPECT_EQ(queue_->undeleted(), 0u);
 }
 
+TEST_F(TaskLifecycleTest, EarlyCompletionCountIsTakenBackWhenTheHandlerFails) {
+  // count_completed() counts a delivery ahead of the handler's return; a
+  // delivery that then fails must not stay counted, and one that completes
+  // must be counted once.
+  queue_->send("task");
+  std::atomic<int> deliveries{0};
+  LifecycleConfig config = fast_config();
+  config.max_idle_polls = 200;
+  TaskLifecycle worker(
+      "w0", queue_,
+      [&](TaskContext& ctx) -> TaskOutcome {
+        const int n = deliveries.fetch_add(1);
+        ctx.count_completed();
+        ctx.count_completed();
+        if (n == 0) throw std::runtime_error("report failed");
+        if (n == 1) return TaskOutcome::kAbandoned;
+        return TaskOutcome::kCompleted;
+      },
+      config);
+  worker.start();
+  worker.join();
+
+  EXPECT_EQ(deliveries.load(), 3);
+  EXPECT_EQ(worker.counter(counters::kTasksCompleted), 1);
+  EXPECT_EQ(worker.counter(counters::kExecutionsFailed), 1);
+  EXPECT_EQ(queue_->undeleted(), 0u);
+}
+
 TEST_F(TaskLifecycleTest, InjectedCrashKillsWorkerWithoutDeletingTheMessage) {
   queue_->send("doomed-once");
   FaultInjector faults;

@@ -355,7 +355,8 @@ TEST_F(BlockCacheTest, RandomizedWorkloadMatchesReferenceModel) {
     }
     const auto stored = store_.get("b", key);
     ASSERT_TRUE(stored != nullptr);
-    const bool expect_hit = model.fetch(ppc::fnv1a64(*stored), static_cast<Bytes>(stored->size()));
+    const bool expect_hit =
+        model.fetch(ppc::content_hash64(*stored), static_cast<Bytes>(stored->size()));
 
     const auto r = cache.fetch(store_, "b", key);
     ASSERT_TRUE(r.found) << "step " << step;

@@ -147,9 +147,9 @@ TEST_P(StorageConformanceTest, ContentEtagMatchesPayloadHash) {
   auto store = make_store();
   store->put("b", "k", "payload");
   ASSERT_TRUE(store->etag("b", "k").has_value());
-  EXPECT_EQ(*store->etag("b", "k"), ppc::fnv1a64("payload"));
+  EXPECT_EQ(*store->etag("b", "k"), ppc::content_hash64("payload"));
   store->put("b", "k", "other");
-  EXPECT_EQ(*store->etag("b", "k"), ppc::fnv1a64("other"));
+  EXPECT_EQ(*store->etag("b", "k"), ppc::content_hash64("other"));
 }
 
 TEST_P(StorageConformanceTest, LogicalEtagIsStableAcrossInstancesAndSizes) {
@@ -189,8 +189,8 @@ TEST_P(StorageConformanceTest, CorruptedDeliveryIsDetectableAgainstEtag) {
   EXPECT_NE(*delivered, "payload");
   // etag() models the checksum recorded at upload: it is immune to the
   // injected fault, so readers can always detect the corruption.
-  EXPECT_EQ(*store->etag("b", "k"), ppc::fnv1a64("payload"));
-  EXPECT_NE(ppc::fnv1a64(*delivered), *store->etag("b", "k"));
+  EXPECT_EQ(*store->etag("b", "k"), ppc::content_hash64("payload"));
+  EXPECT_NE(ppc::content_hash64(*delivered), *store->etag("b", "k"));
   // The stored object is untouched; a clean retry succeeds.
   store->set_fault_hook(nullptr);
   EXPECT_EQ(*store->get("b", "k"), "payload");
