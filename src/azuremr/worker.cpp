@@ -135,11 +135,14 @@ void MrWorker::run_map(runtime::TaskContext& ctx,
   }
   upload_span.close();
 
+  // Counted before the report: a client that has seen every report must
+  // also see every worker's count.
+  ctx.count("map_tasks");
+  ctx.count_completed();
   runtime::Span report_span = ctx.span("monitor.report");
   monitor_queue_->send(ppc::encode_kv(
       {{"task", "map-" + iter + "-" + input}, {"status", "done"}, {"worker", id()}}));
   report_span.close();
-  ctx.count("map_tasks");
 }
 
 void MrWorker::run_reduce(runtime::TaskContext& ctx,
@@ -186,11 +189,12 @@ void MrWorker::run_reduce(runtime::TaskContext& ctx,
   store_.put(bucket_, "rout/" + iter + "/" + part, encode_records(outputs));
   upload_span.close();
 
+  ctx.count("reduce_tasks");
+  ctx.count_completed();
   runtime::Span report_span = ctx.span("monitor.report");
   monitor_queue_->send(ppc::encode_kv(
       {{"task", "reduce-" + iter + "-" + part}, {"status", "done"}, {"worker", id()}}));
   report_span.close();
-  ctx.count("reduce_tasks");
 }
 
 }  // namespace ppc::azuremr

@@ -385,6 +385,7 @@ std::size_t MessageQueue::receive_core(std::size_t max, Seconds visibility_timeo
     }
   }
   meter_.messages_received.fetch_add(delivered, std::memory_order_relaxed);
+  if (delivered == 0) meter_.empty_receives.fetch_add(1, std::memory_order_relaxed);
 
   if (span != 0) {
     if (attempted == 0) {
@@ -532,6 +533,7 @@ RequestMeter MessageQueue::meter() const {
   RequestMeter m;
   m.sends = meter_.sends.load(std::memory_order_relaxed);
   m.receives = meter_.receives.load(std::memory_order_relaxed);
+  m.empty_receives = meter_.empty_receives.load(std::memory_order_relaxed);
   m.deletes = meter_.deletes.load(std::memory_order_relaxed);
   m.visibility_changes = meter_.visibility_changes.load(std::memory_order_relaxed);
   m.stale_deletes = meter_.stale_deletes.load(std::memory_order_relaxed);

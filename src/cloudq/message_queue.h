@@ -121,6 +121,9 @@ struct Message {
 struct RequestMeter {
   std::uint64_t sends = 0;     // send requests (a batch of 10 bills 1)
   std::uint64_t receives = 0;  // receive requests, including empty receives
+  /// Receive requests that handed the caller no message (also in
+  /// `receives`: SQS bills them).
+  std::uint64_t empty_receives = 0;
   std::uint64_t deletes = 0;   // delete requests (a batch of 10 bills 1)
   std::uint64_t visibility_changes = 0;
   /// Deletes presented with the current receipt *after* its visibility
@@ -145,6 +148,15 @@ struct RequestMeter {
   /// Messages moved per send/receive/delete request; 0 when idle.
   double batch_occupancy() const {
     const std::uint64_t requests = sends + receives + deletes;
+    if (requests == 0) return 0.0;
+    return static_cast<double>(messages_sent + messages_received + messages_deleted) /
+           static_cast<double>(requests);
+  }
+
+  /// batch_occupancy() over the requests that moved a message: how full
+  /// the batches were, whatever the consumers' empty polling added.
+  double loaded_occupancy() const {
+    const std::uint64_t requests = sends + receives - empty_receives + deletes;
     if (requests == 0) return 0.0;
     return static_cast<double>(messages_sent + messages_received + messages_deleted) /
            static_cast<double>(requests);
@@ -302,9 +314,9 @@ class MessageQueue {
 
   /// Internal request-level counters; snapshotted into RequestMeter.
   struct AtomicMeter {
-    std::atomic<std::uint64_t> sends{0}, receives{0}, deletes{0}, visibility_changes{0},
-        stale_deletes{0}, dlq_moves{0}, messages_sent{0}, messages_received{0},
-        messages_deleted{0};
+    std::atomic<std::uint64_t> sends{0}, receives{0}, empty_receives{0}, deletes{0},
+        visibility_changes{0}, stale_deletes{0}, dlq_moves{0}, messages_sent{0},
+        messages_received{0}, messages_deleted{0};
   };
 
   /// Appends/recycles a message slot in `s`; caller holds s.mu. Returns the

@@ -75,6 +75,7 @@ RequestMeter QueueService::total_meter() const {
     const RequestMeter m = q->meter();
     total.sends += m.sends;
     total.receives += m.receives;
+    total.empty_receives += m.empty_receives;
     total.deletes += m.deletes;
     total.visibility_changes += m.visibility_changes;
     total.stale_deletes += m.stale_deletes;

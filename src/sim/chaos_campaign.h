@@ -30,6 +30,7 @@ struct ChaosConfig {
   /// Drives the sampled FaultPlan (and nothing else — the job corpus is
   /// fixed so every seed chases the same baseline).
   std::uint64_t seed = 42;
+  /// A substrate with chaos plans in the substrate table (sim/substrate.h):
   /// "classiccloud", "azuremr", or "mapreduce".
   std::string substrate = "classiccloud";
   /// "cap3", "blast", or "gtm" — or a full-pipeline shuffle workload

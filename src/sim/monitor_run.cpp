@@ -2,11 +2,11 @@
 
 #include <sstream>
 
-#include "cloud/instance_types.h"
 #include "common/error.h"
 #include "core/drivers.h"
 #include "core/exec_model.h"
 #include "core/workload.h"
+#include "sim/substrate.h"
 
 namespace ppc::sim {
 
@@ -35,15 +35,6 @@ core::Workload build_workload(const MonitorRunConfig& config) {
   return w;
 }
 
-core::Deployment build_deployment(const MonitorRunConfig& config) {
-  const cloud::InstanceType& type =
-      config.substrate == "classiccloud" ? cloud::ec2_hcxl()
-      : config.substrate == "azuremr"    ? cloud::azure_large()
-      : config.substrate == "mapreduce"  ? cloud::bare_metal_idataplex_node()
-                                         : cloud::bare_metal_hpcs_node();
-  return core::make_deployment(type, config.instances, config.workers_per_instance);
-}
-
 }  // namespace
 
 std::vector<std::string> default_alarm_rules() {
@@ -62,11 +53,10 @@ std::vector<std::string> default_alarm_rules() {
 }
 
 MonitorRunReport run_monitored_job(const MonitorRunConfig& config) {
-  PPC_REQUIRE(config.substrate == "classiccloud" || config.substrate == "azuremr" ||
-                  config.substrate == "mapreduce" || config.substrate == "dryad",
-              "unknown substrate: " + config.substrate);
+  const Substrate& substrate = find_substrate(config.substrate);
   const core::Workload workload = build_workload(config);
-  const core::Deployment deployment = build_deployment(config);
+  const core::Deployment deployment = core::make_deployment(
+      substrate.instance_type(), config.instances, config.workers_per_instance);
   const core::ExecutionModel model(workload.app);
 
   runtime::MetricsRegistry registry;
@@ -90,14 +80,7 @@ MonitorRunReport run_monitored_job(const MonitorRunConfig& config) {
   params.stall_at = config.stall_at;
   params.stall_duration = config.stall_duration;
 
-  core::RunResult result;
-  if (config.substrate == "mapreduce") {
-    result = core::run_mapreduce_sim(workload, deployment, model, params);
-  } else if (config.substrate == "dryad") {
-    result = core::run_dryad_sim(workload, deployment, model, params);
-  } else {
-    result = core::run_classic_cloud_sim(workload, deployment, model, params);
-  }
+  const core::RunResult result = substrate.run_sim(workload, deployment, model, params);
 
   MonitorRunReport report;
   report.substrate = config.substrate;

@@ -87,6 +87,8 @@ SaturationCell run_cell(int workers, int shards, int batch, int tasks, unsigned 
   cell.api_requests = meter.total();
   cell.unbatched_requests = meter.unbatched_total();
   cell.batch_occupancy = meter.batch_occupancy();
+  cell.empty_receives = meter.empty_receives;
+  cell.loaded_occupancy = meter.loaded_occupancy();
   return cell;
 }
 

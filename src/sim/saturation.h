@@ -52,6 +52,8 @@ struct SaturationCell {
   std::uint64_t api_requests = 0;       // RequestMeter::total()
   std::uint64_t unbatched_requests = 0; // one-message-per-request equivalent
   double batch_occupancy = 0.0;         // messages moved per request
+  std::uint64_t empty_receives = 0;     // receives that returned nothing
+  double loaded_occupancy = 0.0;        // ... per request that moved one
 
   /// "w8_s4_b10" — the row key the --check gate and CSVs use.
   std::string name() const;

@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "azuremr/runtime.h"
+#include "azuremr/worker.h"
 #include "blobstore/blob_store.h"
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "runtime/fault_injector.h"
+#include "runtime/fault_plan.h"
 
 namespace ppc::azuremr {
 namespace {
@@ -366,6 +371,56 @@ TEST_F(AzureMrTest, SurvivesHostileCloudServices) {
   EXPECT_EQ(result.iterations_run, 4);
   EXPECT_EQ(result.final_broadcast, std::to_string(17L * 17 * 17 * 17));
   EXPECT_EQ(result.outputs.at("count"), "4") << "every mapper's record must arrive";
+}
+
+TEST_F(AzureMrTest, CompletionIsCountedBeforeTheReportIsSent) {
+  // A client that has seen a task's monitor report must also see it in the
+  // worker's counters, even while the worker is still acking it (a slow
+  // delete here) — or an exactly-once check right after the wait reads one
+  // short.
+  auto tasks = queues_.create_queue("ack-tasks");
+  auto monitor = queues_.create_queue("ack-monitor");
+  runtime::FaultPlan slow_ack;
+  slow_ack.delay("cloudq.ack-tasks.delete", 0.3, /*budget=*/-1);
+  runtime::FaultInjector faults;
+  faults.arm_plan(slow_ack);
+  queues_.set_fault_hook(&faults);
+  store_.create_bucket("ack");
+  store_.put("ack", "input/f0", "x");
+  store_.put("ack", "broadcast/0", "");
+
+  MrWorkerConfig config;
+  config.poll_interval = 0.001;
+  MrWorker worker(
+      "w0", store_, tasks, monitor,
+      [](const std::string& name, const std::string& data, const std::string&) {
+        return std::vector<KeyValue>{{name, data}};
+      },
+      [](const std::string&, const std::vector<std::string>& values) { return values.front(); },
+      nullptr, /*num_reduce_tasks=*/1, "ack", config);
+  worker.start();
+  auto await_report = [&] {
+    for (int i = 0; i < 5000; ++i) {
+      if (monitor->receive(60.0)) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+
+  tasks->send(ppc::encode_kv({{"op", "map"}, {"iter", "0"}, {"input", "f0"}}));
+  ASSERT_TRUE(await_report());
+  EXPECT_EQ(worker.stats().map_tasks, 1);
+  EXPECT_EQ(worker.lifecycle().counter(runtime::counters::kTasksCompleted), 1);
+
+  tasks->send(ppc::encode_kv({{"op", "reduce"}, {"iter", "0"}, {"part", "0"}, {"maps", "1"}}));
+  ASSERT_TRUE(await_report());
+  EXPECT_EQ(worker.stats().reduce_tasks, 1);
+  EXPECT_EQ(worker.lifecycle().counter(runtime::counters::kTasksCompleted), 2);
+
+  worker.request_stop();
+  worker.join();
+  EXPECT_EQ(worker.lifecycle().counter(runtime::counters::kTasksCompleted), 2);
+  queues_.set_fault_hook(nullptr);
 }
 
 TEST_F(AzureMrTest, RejectsMalformedSpecs) {

@@ -204,7 +204,17 @@ TEST(QueueStressModel, RandomizedThreadsConserveMessagesAcrossSeeds) {
     const RequestMeter meter = queue.meter();
     EXPECT_EQ(meter.messages_sent, static_cast<std::uint64_t>(kTotal));
     EXPECT_EQ(meter.messages_deleted, static_cast<std::uint64_t>(kTotal));
-    EXPECT_GT(meter.batch_occupancy(), 1.0) << "batched traffic must actually batch";
+    // Over the requests that moved messages: the consumers spin on empty
+    // receives while a peer holds the tail, and how many they pile up
+    // depends on the host's scheduler, not on the batching.
+    EXPECT_GT(meter.loaded_occupancy(), 1.0) << "batched traffic must actually batch";
+    // Receives on their own too: the producers' batched sends alone carry
+    // the figure above past 1.0 when every receive returns one message.
+    const std::uint64_t loaded_receives = meter.receives - meter.empty_receives;
+    ASSERT_GT(loaded_receives, 0u);
+    EXPECT_GT(static_cast<double>(meter.messages_received) / static_cast<double>(loaded_receives),
+              1.0)
+        << "batched receives must actually batch";
   }
 }
 

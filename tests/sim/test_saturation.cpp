@@ -29,8 +29,11 @@ TEST(SaturationSweep, SmallGridDrainsEveryCellAndBatches) {
     EXPECT_EQ(cell.unbatched_requests, 3u * 2000u)
         << "send + receive + delete per message";
     if (cell.batch > 1) {
-      EXPECT_GT(cell.batch_occupancy, 5.0) << cell.name();
-      EXPECT_LT(cell.api_requests, cell.unbatched_requests) << cell.name();
+      // Over the requests that moved messages: empty receives while a peer
+      // holds the tail depend on the host's scheduler, not on the batching.
+      EXPECT_GT(cell.loaded_occupancy, 5.0) << cell.name();
+      EXPECT_LT(cell.api_requests - cell.empty_receives, cell.unbatched_requests)
+          << cell.name();
     } else {
       EXPECT_LT(cell.batch_occupancy, 2.0) << cell.name();
     }

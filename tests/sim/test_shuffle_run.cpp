@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include "sim/chaos_campaign.h"
@@ -99,6 +101,44 @@ ChaosConfig shuffle_chaos(std::uint64_t seed, const std::string& app) {
   return config;
 }
 
+// The plans seeds 1-3 armed before the substrates moved into one table;
+// replaying a seed must arm exactly these rules.
+const std::map<std::uint64_t, std::string> kHistogramPlans = {
+    {1,
+     "fault plan seed=1 rules=9\n"
+     "  crash x1 @ mapreduce.map_attempt (p=1.00)\n"
+     "  crash x1 @ mapreduce.map_register (p=1.00)\n"
+     "  crash x1 @ mapreduce.reduce_attempt (p=1.00)\n"
+     "  delay x3 @ mapreduce.fetch (p=1.00, 0.005s)\n"
+     "  error x1 @ mapreduce.spill (p=1.00)\n"
+     "  error x1 @ mapreduce.fetch (p=1.00)\n"
+     "  corrupt x2 @ blobstore.shuffle.get (p=1.00)\n"
+     "  crash x1 @ mapreduce.map_attempt (p=0.08)\n"
+     "  crash x1 @ mapreduce.map_attempt (p=0.18)\n"},
+    {2,
+     "fault plan seed=2 rules=9\n"
+     "  crash x1 @ mapreduce.map_attempt (p=1.00)\n"
+     "  crash x1 @ mapreduce.map_register (p=1.00)\n"
+     "  crash x1 @ mapreduce.reduce_attempt (p=1.00)\n"
+     "  delay x3 @ mapreduce.fetch (p=1.00, 0.005s)\n"
+     "  error x1 @ mapreduce.spill (p=1.00)\n"
+     "  error x1 @ mapreduce.fetch (p=1.00)\n"
+     "  corrupt x2 @ blobstore.shuffle.get (p=1.00)\n"
+     "  delay x2 @ mapreduce.fetch (p=0.24, 0.002s)\n"
+     "  corrupt x1 @ blobstore.shuffle.get (p=0.18)\n"},
+    {3,
+     "fault plan seed=3 rules=9\n"
+     "  crash x1 @ mapreduce.map_attempt (p=1.00)\n"
+     "  crash x1 @ mapreduce.map_register (p=1.00)\n"
+     "  crash x1 @ mapreduce.reduce_attempt (p=1.00)\n"
+     "  delay x3 @ mapreduce.fetch (p=1.00, 0.005s)\n"
+     "  error x1 @ mapreduce.spill (p=1.00)\n"
+     "  error x1 @ mapreduce.fetch (p=1.00)\n"
+     "  corrupt x2 @ blobstore.shuffle.get (p=1.00)\n"
+     "  crash x1 @ mapreduce.map_attempt (p=0.35)\n"
+     "  error x3 @ mapreduce.fetch (p=0.06)\n"},
+};
+
 TEST(ChaosShuffle, HistogramSeedsOneToThreeAreByteIdentical) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto report = run_chaos_campaign(shuffle_chaos(seed, "histogram"));
@@ -108,6 +148,7 @@ TEST(ChaosShuffle, HistogramSeedsOneToThreeAreByteIdentical) {
     EXPECT_GT(report.crashes + report.delays + report.errors + report.corruptions, 0)
         << "seed " << seed;
     EXPECT_GE(report.corruptions, 1) << "seed " << seed;
+    EXPECT_EQ(report.plan_summary, kHistogramPlans.at(seed));
   }
 }
 

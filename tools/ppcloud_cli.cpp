@@ -181,6 +181,7 @@
 #include "sim/monitor_run.h"
 #include "sim/saturation.h"
 #include "sim/shuffle_run.h"
+#include "sim/substrate.h"
 #include "sim/trace_run.h"
 #include "storage/storage_backend.h"
 
@@ -212,11 +213,20 @@ int opt_int(const Options& opts, const std::string& key, int fallback) {
   return it == opts.end() ? fallback : std::stoi(it->second);
 }
 
+/// Writes `data` to `path`; complains on stderr when it cannot.
 bool write_file(const std::string& path, const std::string& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  return (std::fclose(f) == 0) && ok;
+  bool ok = f != nullptr && std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
+  return ok;
+}
+
+/// write_file, then "<what>: <path>" on stdout when it worked.
+bool write_artifact(const std::string& path, const std::string& data, const std::string& what) {
+  if (!write_file(path, data)) return false;
+  std::printf("%s: %s\n", what.c_str(), path.c_str());
+  return true;
 }
 
 int cmd_catalog() {
@@ -349,15 +359,8 @@ int cmd_chaos(const Options& opts) {
     base.app = "histogram";
   }
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (sim::is_shuffle_app(base.app)) {
-    substrates = {"mapreduce"};
-  } else if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce"};
-  } else {
-    substrates = {substrate};
-  }
+  const std::vector<std::string> substrates =
+      sim::expand_substrates(opt(opts, "substrate", "all"), base.app);
 
   const std::string trace_dir = opt(opts, "trace-dir", "");
 
@@ -370,11 +373,7 @@ int cmd_chaos(const Options& opts) {
     if (print_json) std::printf("%s\n", report.metrics_json.c_str());
     if (!monitor_dir.empty() && !report.monitor_json.empty()) {
       const std::string path = monitor_dir + "/chaos-monitor-" + s + ".json";
-      if (write_file(path, report.monitor_json)) {
-        std::printf("chaos-run monitor series: %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-      }
+      write_artifact(path, report.monitor_json, "chaos-run monitor series");
     }
     if (!report.passed) {
       all_passed = false;
@@ -385,11 +384,8 @@ int cmd_chaos(const Options& opts) {
       if (!trace_dir.empty() && !report.trace_json.empty()) {
         const std::string path = trace_dir + "/chaos-trace-" + s + "-seed" +
                                  std::to_string(report.seed) + ".json";
-        if (write_file(path, report.trace_json)) {
-          std::printf("chaos-run trace (%zu spans): %s\n", report.trace_spans, path.c_str());
-        } else {
-          std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-        }
+        write_artifact(path, report.trace_json,
+                       "chaos-run trace (" + std::to_string(report.trace_spans) + " spans)");
       }
     }
   }
@@ -413,11 +409,8 @@ int cmd_shuffle(const Options& opts) {
   if (!trace_dir.empty() && !report.trace_json.empty()) {
     const std::string path = trace_dir + "/shuffle-trace-" + config.app + "-seed" +
                              std::to_string(config.seed) + ".json";
-    if (write_file(path, report.trace_json)) {
-      std::printf("shuffle trace (%zu spans): %s\n", report.trace_spans, path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-    }
+    write_artifact(path, report.trace_json,
+                   "shuffle trace (" + std::to_string(report.trace_spans) + " spans)");
   }
   if (!report.succeeded) return 1;
   if (report.determinism_verified && !report.determinism_ok) {
@@ -440,13 +433,8 @@ int cmd_trace(const Options& opts) {
   const std::string monitor_dir = opt(opts, "monitor-dir", "");
   if (!monitor_dir.empty()) base.monitor_period = 0.05;
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce", "dryad"};
-  } else {
-    substrates = {substrate};
-  }
+  const std::vector<std::string> substrates =
+      sim::expand_substrates(opt(opts, "substrate", "all"));
   PPC_REQUIRE(out_path.empty() || substrates.size() == 1,
               "--out needs a single --substrate");
 
@@ -460,20 +448,12 @@ int cmd_trace(const Options& opts) {
     if (!report.succeeded) all_ok = false;
     if (!monitor_dir.empty() && !report.monitor_json.empty()) {
       const std::string path = monitor_dir + "/trace-monitor-" + s + ".json";
-      if (write_file(path, report.monitor_json)) {
-        std::printf("trace-run monitor series: %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", path.c_str());
-        all_ok = false;
-      }
+      if (!write_artifact(path, report.monitor_json, "trace-run monitor series")) all_ok = false;
     }
-    if (!out_path.empty()) {
-      if (write_file(out_path, report.chrome_json)) {
-        std::printf("trace (%zu spans): %s\n", report.spans, out_path.c_str());
-      } else {
-        std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-        all_ok = false;
-      }
+    if (!out_path.empty() &&
+        !write_artifact(out_path, report.chrome_json,
+                        "trace (" + std::to_string(report.spans) + " spans)")) {
+      all_ok = false;
     }
     reports.push_back(std::move(report));
   }
@@ -497,13 +477,8 @@ int cmd_monitor(const Options& opts) {
   const std::string json_path = opt(opts, "json", "");
   const std::string prom_path = opt(opts, "prom", "");
 
-  const std::string substrate = opt(opts, "substrate", "all");
-  std::vector<std::string> substrates;
-  if (substrate == "all") {
-    substrates = {"classiccloud", "azuremr", "mapreduce", "dryad"};
-  } else {
-    substrates = {substrate};
-  }
+  const std::vector<std::string> substrates =
+      sim::expand_substrates(opt(opts, "substrate", "all"));
   PPC_REQUIRE((json_path.empty() && prom_path.empty()) || substrates.size() == 1,
               "--json/--prom need a single --substrate");
 
@@ -514,14 +489,8 @@ int cmd_monitor(const Options& opts) {
     const sim::MonitorRunReport report = sim::run_monitored_job(config);
     std::fputs(report.to_text().c_str(), stdout);
     if (report.completed != report.tasks) all_ok = false;
-    if (!json_path.empty() && !write_file(json_path, report.monitor_json)) {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", json_path.c_str());
-      all_ok = false;
-    }
-    if (!prom_path.empty() && !write_file(prom_path, report.prometheus)) {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", prom_path.c_str());
-      all_ok = false;
-    }
+    if (!json_path.empty() && !write_file(json_path, report.monitor_json)) all_ok = false;
+    if (!prom_path.empty() && !write_file(prom_path, report.prometheus)) all_ok = false;
   }
   return all_ok ? 0 : 1;
 }
@@ -536,12 +505,7 @@ int cmd_saturate(const Options& opts) {
   const sim::SaturationReport report = sim::run_saturation_sweep(config);
   std::fputs(report.to_text().c_str(), stdout);
   if (!out_path.empty()) {
-    if (write_file(out_path, report.to_json("unknown", config))) {
-      std::printf("sweep artifact: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+    if (!write_artifact(out_path, report.to_json("unknown", config), "sweep artifact")) return 1;
   }
   return 0;
 }
@@ -570,20 +534,10 @@ int cmd_autoscale(const Options& opts) {
   const sim::AutoscaleReport report = sim::run_autoscale_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
   if (!out_path.empty()) {
-    if (write_file(out_path, report.monitor_json)) {
-      std::printf("autoscale monitor series: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+    if (!write_artifact(out_path, report.monitor_json, "autoscale monitor series")) return 1;
   }
   if (!csv_path.empty()) {
-    if (write_file(csv_path, report.fleet_series_csv())) {
-      std::printf("fleet size series: %s\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", csv_path.c_str());
-      return 1;
-    }
+    if (!write_artifact(csv_path, report.fleet_series_csv(), "fleet size series")) return 1;
   }
   return (report.passed || !check) ? 0 : 1;
 }
@@ -604,12 +558,7 @@ int cmd_campaign(const Options& opts) {
   const sim::CampaignReport report = sim::run_million_task_campaign(config);
   std::fputs(report.to_text().c_str(), stdout);
   if (!out_path.empty()) {
-    if (write_file(out_path, report.monitor_json)) {
-      std::printf("campaign monitor series: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "ppcloud: could not write %s\n", out_path.c_str());
-      return 1;
-    }
+    if (!write_artifact(out_path, report.monitor_json, "campaign monitor series")) return 1;
   }
   return report.passed ? 0 : 1;
 }
